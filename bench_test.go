@@ -7,7 +7,6 @@
 package breakhammer_test
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -349,22 +348,6 @@ func BenchmarkAblationAddressMapRowInterleaved(b *testing.B) {
 	benchRunWS(b, func(c *sim.Config) { c.AddressMap = "rowint" })
 }
 
-// --- Simulation-loop benchmarks (event-batched vs every-cycle) ---
-
-// The skip-ahead scheduler batches provably idle spans: on a cycle where
-// no component makes progress, the loop jumps straight to the earliest
-// wake-up signal and stops ticking individually stalled cores. Both
-// loops produce identical simulations (sim.TestSkipAheadMatchesEveryCycle
-// asserts cycle-exact equality); these two benchmarks measure the
-// wall-clock difference on the standard attack-mix run.
-func BenchmarkLoopSkipAhead(b *testing.B) {
-	benchRunWS(b, func(c *sim.Config) { c.DisableSkipAhead = false })
-}
-
-func BenchmarkLoopEveryCycle(b *testing.B) {
-	benchRunWS(b, func(c *sim.Config) { c.DisableSkipAhead = true })
-}
-
 // --- Multi-channel scaling (the memsys layer) ---
 
 // benchChannels runs the standard attack mix on an N-channel memory
@@ -380,63 +363,15 @@ func BenchmarkChannels2(b *testing.B) { benchChannels(b, 2) }
 func BenchmarkChannels4(b *testing.B) { benchChannels(b, 4) }
 func BenchmarkChannels8(b *testing.B) { benchChannels(b, 8) }
 
-// --- Serial vs parallel channel ticking (the memsys worker pool) ---
-
-// benchChannelTick times one simulation of an 8-core attack mix on an
-// N-channel paper-scale system: Table 1 geometry and controller
-// configuration (sim.DefaultConfig), Graphene + BreakHammer, with the
-// instruction horizon trimmed so a benchmark iteration finishes in
-// seconds (the full 100M-instruction horizon is hours; per-cycle tick
-// cost, which is what serial-vs-parallel compares, does not depend on
-// the horizon). Only the simulation is timed — alone-mode baselines and
-// table assembly are out of the loop — and the serial and parallel
-// variants run bit-identical simulations (asserted by
-// sim.TestParallelChannelsDeterministic), so ns/op is directly
-// comparable within a channel count. cmd/benchjson turns the output of
-// `go test -bench ParallelTicking` into BENCH_parallel.json.
-func benchChannelTick(b *testing.B, channels int, parallel bool) {
-	b.Helper()
-	cfg := sim.DefaultConfig()
-	cfg.TargetInsts = 150_000
-	cfg.BHWindow = 400_000
-	cfg.MaxCycles = 60_000_000
-	cfg.Mechanism = "graphene"
-	cfg.NRH = 512
-	cfg.BreakHammer = true
-	cfg.Channels = channels
-	cfg.ParallelChannels = parallel
-	mix, err := workload.ParseMix("HHMMLLLA", 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		sys, err := sim.NewSystem(cfg, mix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := sys.Run()
-		b.ReportMetric(float64(res.Cycles), "cycles")
-	}
-}
-
-// BenchmarkParallelTicking is the serial-vs-parallel grid the CI bench
-// job and EXPERIMENTS.md's recorded baselines are built from.
-func BenchmarkParallelTicking(b *testing.B) {
-	for _, channels := range []int{1, 2, 4, 8} {
-		channels := channels
-		b.Run(fmt.Sprintf("serial-%dch", channels), func(b *testing.B) {
-			benchChannelTick(b, channels, false)
-		})
-		b.Run(fmt.Sprintf("parallel-%dch", channels), func(b *testing.B) {
-			benchChannelTick(b, channels, true)
-		})
-	}
-}
-
-// benchSampledTick times one simulation of the benchChannelTick mix and
-// geometry, exact or under SMARTS interval sampling with the validation
-// harness's window shape (4K warm-up / 12K detail / 134K fast-forward —
-// the shape exp.SamplingValidation and the CI sampling-smoke job use).
+// benchSampledTick times one simulation of an 8-core attack mix on the
+// paper-scale system: Table 1 geometry and controller configuration
+// (sim.DefaultConfig), Graphene + BreakHammer, with the instruction
+// horizon trimmed so a benchmark iteration finishes in seconds. Only
+// the simulation is timed (alone-mode baselines and table assembly are
+// out of the loop). It runs exact or under SMARTS interval sampling
+// with the validation harness's window shape (4K warm-up / 12K detail /
+// 134K fast-forward — the shape exp.SamplingValidation and the CI
+// sampling-smoke job use).
 // The exact/sampled ns/op ratio is the sampled-mode speedup; it tracks
 // the duty cycle (detailed cycles per period) because fast-forward
 // replay is nearly free next to detailed ticking. The windows metric

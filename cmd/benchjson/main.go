@@ -1,25 +1,19 @@
 // benchjson converts `go test -bench` output into a JSON benchmark
 // record on stdout, stamped with the host's parallelism so a
-// measurement can never be read without the context that produced it
-// (a 1-core container and a 32-core sweep box tell opposite stories
-// about the channel-tick worker pool).
+// measurement can never be read without the context that produced it.
 //
 // With no arguments it reads one bench run from stdin; with file
-// arguments it merges several runs (e.g. the parallel-ticking grid and
-// the scheduler grid) into a single host-stamped report, in argument
-// order.
+// arguments it merges several runs (e.g. the scheduler grid and the
+// sampling pair) into a single host-stamped report, in argument order.
 //
-// For every benchmark pair named .../serial-<k> and .../parallel-<k> it
-// derives speedup_<k> = serial ns/op ÷ parallel ns/op — the headline
-// number EXPERIMENTS.md's parallel-ticking section tracks. Pairs named
-// .../scan-<k> and .../incr-<k> (the memory-controller scheduler grid:
-// seed full-queue scan vs incremental ready-sets) likewise derive
-// speedup_<k> = scan ÷ incr.
+// For every benchmark pair named .../scan-<k> and .../incr-<k> (the
+// memory-controller scheduler grid: seed full-queue scan vs incremental
+// ready-sets) it derives speedup_<k> = scan ns/op ÷ incr ns/op.
 //
 // Usage:
 //
-//	go test -bench ParallelTicking -benchtime 2x -run '^$' . | go run ./cmd/benchjson > BENCH_parallel.json
-//	go run ./cmd/benchjson par.txt sched.txt > BENCH.json
+//	go test -bench Scheduler -run '^$' ./internal/memctrl | go run ./cmd/benchjson > BENCH_sched.json
+//	go run ./cmd/benchjson sched.txt sample.txt > BENCH.json
 package main
 
 import (
@@ -150,12 +144,10 @@ func parseMetrics(rest string) map[string]float64 {
 	return metrics
 }
 
-// deriveSpeedups pairs baseline with optimised results that share a key
-// (the -<procs> suffix go test appends is ignored) and reports
-// baseline÷optimised time ratios — above 1.0 the optimisation won. Two
-// pairings exist: .../serial-<k> vs .../parallel-<k> (channel-tick worker
-// pool) and .../scan-<k> vs .../incr-<k> (full-queue-scan vs incremental
-// ready-set scheduler).
+// deriveSpeedups pairs .../scan-<k> (full-queue-scan scheduler) with
+// .../incr-<k> (incremental ready-set scheduler) results that share a
+// key (the -<procs> suffix go test appends is ignored) and reports
+// scan÷incr time ratios — above 1.0 the incremental scheduler won.
 func deriveSpeedups(benchmarks []Benchmark) map[string]float64 {
 	baseline := make(map[string]float64)
 	optimised := make(map[string]float64)
@@ -168,10 +160,6 @@ func deriveSpeedups(benchmarks []Benchmark) map[string]float64 {
 		}
 		leaf := name[strings.LastIndex(name, "/")+1:]
 		switch {
-		case strings.HasPrefix(leaf, "serial-"):
-			baseline[strings.TrimPrefix(leaf, "serial-")] = b.NsPerOp
-		case strings.HasPrefix(leaf, "parallel-"):
-			optimised[strings.TrimPrefix(leaf, "parallel-")] = b.NsPerOp
 		case strings.HasPrefix(leaf, "scan-"):
 			baseline[strings.TrimPrefix(leaf, "scan-")] = b.NsPerOp
 		case strings.HasPrefix(leaf, "incr-"):

@@ -68,7 +68,6 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "configuration points simulated concurrently per figure job (0 = auto)")
 		figureJobs = flag.Int("figure-jobs", 2, "figure jobs computed concurrently")
 		compact    = flag.Bool("compact", true, "compact the store's shards at startup (drops superseded records)")
-		parallelCh = flag.Bool("parallel-channels", false, "tick each simulation's memory channels on a worker pool (identical results and cache keys; pair with -jobs 1 on dedicated multi-core hosts)")
 
 		fleetFigs = flag.String("fleet", "", "coordinate a distributed sweep fleet for these experiments (comma-separated names or 'all'); `bhsweep -worker <url>` processes join and drain the points")
 		fleetTTL  = flag.Duration("fleet-ttl", 0, "fleet lease TTL: a worker silent this long loses its point to another worker (0 = 2m)")
@@ -95,8 +94,6 @@ func main() {
 		Warmup: *warmup,
 		Detail: *detail,
 		FF:     *ffWin,
-
-		ParallelChannels: *parallelCh,
 	}.Resolve()
 	if err != nil {
 		log.Fatal(err)

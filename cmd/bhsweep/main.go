@@ -91,7 +91,6 @@ func main() {
 		progress   = flag.Bool("progress", true, "stream per-point progress (with ETA) to stderr")
 		compact    = flag.Bool("compact", false, "with -cache-dir: compact the store's shards (drop superseded records) and exit")
 
-		parallelCh = flag.Bool("parallel-channels", false, "tick each simulation's memory channels on a worker pool (identical results and cache keys; pair with -jobs 1 on dedicated multi-core hosts)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
@@ -173,8 +172,6 @@ func main() {
 		Warmup: *warmup,
 		Detail: *detail,
 		FF:     *ffWin,
-
-		ParallelChannels: *parallelCh,
 	}.Resolve()
 	if err != nil {
 		log.Fatal(err)

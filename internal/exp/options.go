@@ -39,20 +39,14 @@ type OptionSpec struct {
 	Strategies string // comma-separated adaptive strategies for the scenario grid; "" = preset default
 	Defenses   string // comma-separated composed defenses ("graphene+bh,prac+rfm+bh"); "" = preset default
 
-	// ParallelChannels ticks each simulation's memory channels on a
-	// worker pool. Results (and therefore store keys) are identical to
-	// the serial batch; this is purely an execution-speed knob for
-	// multi-channel points on hosts with spare cores.
-	ParallelChannels bool
-
 	// Sample switches every simulation of the sweep to interval
 	// sampling (sim.Config.Sampling): alternating fast-forwarded and
 	// detailed windows whose measured metrics carry confidence bands.
-	// Unlike ParallelChannels this changes what is simulated — sampled
-	// points key separately in the results store and can never serve an
-	// exact figure. Warmup, Detail and FF override the window sizes in
-	// cycles (0 = the sampling package defaults, sized for paper-scale
-	// runs; CI-scale runs need explicit smaller windows).
+	// This changes what is simulated — sampled points key separately in
+	// the results store and can never serve an exact figure. Warmup,
+	// Detail and FF override the window sizes in cycles (0 = the
+	// sampling package defaults, sized for paper-scale runs; CI-scale
+	// runs need explicit smaller windows).
 	Sample bool
 	Warmup int64
 	Detail int64
@@ -93,7 +87,6 @@ func (sp OptionSpec) ApplyTo(o Options) (Options, error) {
 	if sp.Channels > 0 {
 		o.Base.Channels = sp.Channels
 	}
-	o.Base.ParallelChannels = sp.ParallelChannels
 	if sp.Insts > 0 {
 		o.Base.TargetInsts = sp.Insts
 	}

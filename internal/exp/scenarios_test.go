@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -65,39 +67,24 @@ func TestScenariosWarmRerunSimulatesNothing(t *testing.T) {
 	}
 }
 
-// TestScenariosSerialParallelIdentical: the frontier table is
-// byte-identical whether each simulation ticks its channels serially or
-// on the parallel worker pool — the scenario feedback loop must not leak
-// scheduling nondeterminism into results.
-func TestScenariosSerialParallelIdentical(t *testing.T) {
-	serialOpts := scenarioTestOptions()
-	serialOpts.Base.Channels = 2
-	parallelOpts := serialOpts
-	parallelOpts.Base.ParallelChannels = true
-
-	storeS, err := results.Open(t.TempDir())
+// TestScenariosGoldenDigest pins the two-channel frontier table (a
+// SHA-256 over its CSV): the scenario feedback loop runs through the
+// multi-channel cycle batch, so a change to batch timing or drain order
+// fails here. Regenerate only with a SchemaVersion-bumping change.
+func TestScenariosGoldenDigest(t *testing.T) {
+	opts := scenarioTestOptions()
+	opts.Base.Channels = 2
+	store, err := results.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := NewRunnerWithStore(serialOpts, storeS).Scenarios()
+	tab, err := NewRunnerWithStore(opts, store).Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeP, err := results.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := NewRunnerWithStore(parallelOpts, storeP)
-	parallel, err := rp.Scenarios()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Executed() == 0 {
-		t.Fatal("parallel grid executed nothing — the comparison is vacuous")
-	}
-	if serial.CSV() != parallel.CSV() {
-		t.Errorf("frontier table diverges between serial and parallel channel ticking:\nserial:\n%s\nparallel:\n%s",
-			serial.CSV(), parallel.CSV())
+	sum := sha256.Sum256([]byte(tab.CSV()))
+	if got, want := hex.EncodeToString(sum[:]), "0736db07d76423fbbd72385cb80dba9b5488f1cc7172e475494466b4fdef5561"; got != want {
+		t.Errorf("frontier digest %s, want %s\n%s", got, want, tab.CSV())
 	}
 }
 

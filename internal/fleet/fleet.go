@@ -333,17 +333,17 @@ func newToken() string {
 func (c *Coordinator) handleHello(w http.ResponseWriter, r *http.Request) {
 	var req helloRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding hello: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding hello: %v", err))
 		return
 	}
 	if req.Protocol != ProtocolVersion {
-		httpError(w, http.StatusConflict, fmt.Errorf(
+		HTTPError(w, http.StatusConflict, fmt.Errorf(
 			"fleet protocol mismatch: worker speaks v%d, coordinator v%d — rebuild the worker from the coordinator's source revision",
 			req.Protocol, ProtocolVersion))
 		return
 	}
 	if req.Schema != results.SchemaVersion {
-		httpError(w, http.StatusConflict, fmt.Errorf(
+		HTTPError(w, http.StatusConflict, fmt.Errorf(
 			"results schema mismatch: worker writes schema %d, coordinator stores schema %d — rebuild the worker from the coordinator's source revision",
 			req.Schema, results.SchemaVersion))
 		return
@@ -351,7 +351,7 @@ func (c *Coordinator) handleHello(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.touchWorkerLocked(req.Worker)
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, helloResponse{
+	WriteJSON(w, http.StatusOK, helloResponse{
 		Protocol: ProtocolVersion,
 		Schema:   results.SchemaVersion,
 		Options:  c.optJSON,
@@ -361,7 +361,7 @@ func (c *Coordinator) handleHello(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding lease request: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding lease request: %v", err))
 		return
 	}
 	now := time.Now()
@@ -389,7 +389,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		claim, err := store.TryClaimRemote(fp.key, c.ttl)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			HTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
 		if claim == nil {
@@ -407,7 +407,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		ws.InFlight++
 		c.emitLocked(exp.Event{Type: exp.PointStarted, Done: c.done, Total: len(c.points),
 			Point: fp.p, Label: fp.p.String() + " @ " + ws.Name})
-		writeJSON(w, http.StatusOK, leaseResponse{
+		WriteJSON(w, http.StatusOK, leaseResponse{
 			Token: fp.token,
 			Point: fp.p,
 			Key:   fp.key,
@@ -416,19 +416,19 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if c.done == len(c.points) {
-		writeJSON(w, http.StatusOK, leaseResponse{Done: true})
+		WriteJSON(w, http.StatusOK, leaseResponse{Done: true})
 		return
 	}
 	// Everything is leased out (or pinned by local claims): tell the
 	// worker to come back around one heartbeat interval from now — early
 	// enough to pick up a stolen lease promptly.
-	writeJSON(w, http.StatusOK, leaseResponse{Wait: true, RetryNS: (c.ttl / 4).Nanoseconds()})
+	WriteJSON(w, http.StatusOK, leaseResponse{Wait: true, RetryNS: (c.ttl / 4).Nanoseconds()})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding heartbeat: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding heartbeat: %v", err))
 		return
 	}
 	now := time.Now()
@@ -437,19 +437,19 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.expireLocked(now)
 	fp, ok := c.byToken[req.Token]
 	if !ok {
-		httpError(w, http.StatusGone, fmt.Errorf("lease expired or unknown; the point may have been re-issued"))
+		HTTPError(w, http.StatusGone, fmt.Errorf("lease expired or unknown; the point may have been re-issued"))
 		return
 	}
 	fp.expiry = now.Add(c.ttl)
 	fp.claim.Heartbeat() // relay liveness to the claim file for local co-workers
 	c.touchWorkerLocked(fp.worker)
-	writeJSON(w, http.StatusOK, okResponse{OK: true})
+	WriteJSON(w, http.StatusOK, okResponse{OK: true})
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req resultRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding result: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding result: %v", err))
 		return
 	}
 	now := time.Now()
@@ -458,7 +458,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.expireLocked(now)
 	fp, ok := c.byToken[req.Token]
 	if !ok {
-		httpError(w, http.StatusGone, fmt.Errorf("lease expired or unknown; the result was discarded (the point may have been re-issued)"))
+		HTTPError(w, http.StatusGone, fmt.Errorf("lease expired or unknown; the result was discarded (the point may have been re-issued)"))
 		return
 	}
 	// Validate before touching the authoritative store: the worker's
@@ -467,29 +467,29 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	// for trace-backed sweeps — trace content edited mid-lease, and the
 	// submission is rejected rather than stored under a wrong address.
 	if req.Schema != results.SchemaVersion {
-		httpError(w, http.StatusBadRequest, fmt.Errorf(
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf(
 			"results schema mismatch: worker submitted schema %d, coordinator stores schema %d", req.Schema, results.SchemaVersion))
 		return
 	}
 	if req.Key != fp.key {
-		httpError(w, http.StatusBadRequest, fmt.Errorf(
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf(
 			"store key mismatch for %v: worker derived %.12s, coordinator expects %.12s (diverged options, code revision, or trace content)",
 			fp.p, req.Key, fp.key))
 		return
 	}
 	if len(req.Results) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("empty result set for %v", fp.p))
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf("empty result set for %v", fp.p))
 		return
 	}
 	store := c.runner.Store()
 	if err := store.Put(fp.key, req.Results); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		HTTPError(w, http.StatusInternalServerError, err)
 		return
 	}
 	elapsed := time.Duration(req.ElapsedNS)
 	if !req.Cached && elapsed > 0 {
 		if err := store.RecordElapsed(fp.key, elapsed); err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			HTTPError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
@@ -507,13 +507,13 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		ws.Simulated++
 	}
 	c.markDoneLocked(fp, worker, req.Cached, elapsed)
-	writeJSON(w, http.StatusOK, okResponse{OK: true})
+	WriteJSON(w, http.StatusOK, okResponse{OK: true})
 }
 
 func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding release: %v", err))
+		HTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding release: %v", err))
 		return
 	}
 	c.mu.Lock()
@@ -531,7 +531,7 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 		fp.token = ""
 		fp.worker = ""
 	}
-	writeJSON(w, http.StatusOK, okResponse{OK: true})
+	WriteJSON(w, http.StatusOK, okResponse{OK: true})
 }
 
 // Status snapshots the coordinator for the status endpoint and the
@@ -595,7 +595,7 @@ func sortWorkers(ws []WorkerInfo) {
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // handleEvents streams fleet-wide progress as Server-Sent Events: the
@@ -605,7 +605,7 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
+		HTTPError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -631,7 +631,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	for _, e := range history {
-		writeSSE(w, e)
+		WriteSSE(w, e)
 	}
 	flusher.Flush()
 	for {
@@ -640,7 +640,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok { // dropped as a slow subscriber or coordinator closed
 				return
 			}
-			writeSSE(w, e)
+			WriteSSE(w, e)
 			flusher.Flush()
 		case <-c.doneCh:
 			// Drain events that raced the terminal state.
@@ -650,7 +650,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 					if !ok {
 						return
 					}
-					writeSSE(w, e)
+					WriteSSE(w, e)
 					continue
 				default:
 				}
@@ -667,8 +667,8 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE renders one progress event in SSE framing.
-func writeSSE(w http.ResponseWriter, e exp.Event) {
+// WriteSSE renders one progress event in SSE framing.
+func WriteSSE(w http.ResponseWriter, e exp.Event) {
 	data, err := json.Marshal(e)
 	if err != nil {
 		return
@@ -676,8 +676,8 @@ func writeSSE(w http.ResponseWriter, e exp.Event) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data)
 }
 
-// writeJSON renders v as an indented JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON renders v as an indented JSON response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -685,9 +685,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// httpError renders an error as a small JSON object (the errorResponse
+// HTTPError renders an error as a small JSON object (the errorResponse
 // wire shape).
-func httpError(w http.ResponseWriter, status int, err error) {
+func HTTPError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())

@@ -29,11 +29,10 @@ type Event struct {
 // EventBuffer collects the cross-component side effects of one
 // controller's tick — LLC fills, latency reports, activate-hook
 // notifications — instead of invoking the callbacks inline. The memsys
-// layer attaches one buffer per channel so that a cycle batch can tick
-// every channel concurrently (no channel touches shared state mid-tick)
-// and then replay each buffer in channel-index order, giving
-// cross-channel observers the exact event order of a serial
-// channel-by-channel walk.
+// layer attaches one buffer per channel so that a cycle batch ticks
+// every channel without any channel seeing another's mid-cycle side
+// effects, then replays each buffer in channel-index order; that drain
+// order defines multi-channel timing.
 type EventBuffer struct {
 	events []Event
 }
@@ -45,9 +44,6 @@ func NewEventBuffer(capHint int) *EventBuffer {
 	return &EventBuffer{events: make([]Event, 0, capHint)}
 }
 
-// Len reports the number of buffered events.
-func (b *EventBuffer) Len() int { return len(b.events) }
-
 // SetEventBuffer switches the controller into deferred-event mode: from
 // now on Tick records fill, latency and activate-hook invocations into
 // buf (in the order they would have fired) instead of calling the
@@ -58,8 +54,8 @@ func (c *Controller) SetEventBuffer(buf *EventBuffer) { c.events = buf }
 // ReplayEvents invokes the real callbacks for every buffered event, in
 // the exact order the tick recorded them, then empties the buffer (its
 // capacity is retained). The caller must serialize ReplayEvents with the
-// controller's Tick; the memsys layer calls it after the cycle-batch
-// barrier, from the simulation goroutine.
+// controller's Tick; the memsys layer calls it once every channel of
+// the cycle batch has ticked.
 func (c *Controller) ReplayEvents() {
 	if c.events == nil || len(c.events.events) == 0 {
 		return

@@ -1,10 +1,10 @@
 // Package memsys implements the multi-channel memory subsystem: N
-// memctrl.Controller + dram.Device pairs behind one MemorySystem
-// interface. The cache hierarchy talks to the MemorySystem as a single
-// backend; the subsystem decodes each line address once with a
-// channel-aware mapper and routes the request to the owning channel.
-// Activate hooks, latency sinks and LLC fills from every channel are
-// fanned back through the same interface, so thread-attribution layers
+// memctrl.Controller + dram.Device pairs behind one Interleaved value.
+// The cache hierarchy talks to it as a single backend (cache.Backend);
+// the subsystem decodes each line address once with a channel-aware
+// mapper and routes the request to the owning channel. Activate hooks,
+// latency sinks and LLC fills from every channel are fanned back
+// through the same value, so thread-attribution layers
 // (BreakHammer, the mitigation mechanisms) see a coherent cross-channel
 // event stream, and per-channel controller statistics are lifted into
 // merged system-level stats.
@@ -21,52 +21,6 @@ import (
 // memory system, with the originating channel made explicit.
 type ChannelActivateHook func(channel, bank, row, thread int, now int64)
 
-// MemorySystem is the cache hierarchy's view of main memory: a request
-// sink (cache.Backend), a clocked component with skip-ahead support, and
-// an observation surface for mitigation and throttling mechanisms.
-type MemorySystem interface {
-	// EnqueueRead and EnqueueWrite implement cache.Backend: they decode
-	// the line address and route to the owning channel, returning false
-	// when that channel's queue is full.
-	EnqueueRead(line uint64, thread int) bool
-	EnqueueWrite(line uint64, thread int) bool
-
-	// Tick advances every channel one command-bus cycle and reports
-	// whether any channel made progress. Multi-channel systems tick as a
-	// cycle batch: every channel advances with cross-channel side effects
-	// (LLC fills, latency reports, activate hooks) buffered, then the
-	// buffers drain in channel-index order — the same observable event
-	// order whether the batch ran serially or on the worker pool.
-	Tick(now int64) bool
-	// NextWake returns a sound lower bound on the next cycle any channel
-	// could make progress, assuming the preceding Tick made none.
-	NextWake(now int64) int64
-	// Close releases the channel-tick worker pool, if one was started.
-	// It must be called once ticking is over; Tick after Close falls back
-	// to the serial batch.
-	Close()
-
-	// Channels reports the channel count; Channel returns one channel's
-	// controller (per-channel mechanism wiring, tests, characterisation).
-	Channels() int
-	Channel(i int) *memctrl.Controller
-	// Mapper returns the system-level channel-aware address mapper.
-	Mapper() memctrl.AddressMapper
-
-	// SetFillFunc, SetLatencySink and AddActivateHook fan the per-channel
-	// observation surfaces out across every controller.
-	SetFillFunc(fill func(line uint64))
-	SetLatencySink(sink memctrl.LatencySink)
-	AddActivateHook(h ChannelActivateHook)
-
-	// Stats merges every channel's controller counters; ChannelStats
-	// exposes one channel's own counters.
-	Stats() memctrl.Stats
-	ChannelStats(i int) *memctrl.Stats
-	// EnergyNJ sums DRAM energy across all channel devices.
-	EnergyNJ(durationNs float64) float64
-}
-
 // Config describes the memory subsystem: the per-channel topology and
 // timing, the controller configuration shared by all channels, and the
 // channel-interleaved address layout.
@@ -76,15 +30,6 @@ type Config struct {
 	Timing     dram.Timing
 	MC         memctrl.Config
 	AddressMap string // "" or "mop" (MOP-across-channels), "rowint" (RoBaRaCoCh)
-
-	// Parallel ticks the channels of a cycle batch on a pool of reused
-	// worker goroutines instead of a serial loop. The pool sizes itself
-	// to min(Channels, GOMAXPROCS) shares — on a single-core host it
-	// collapses to the serial batch — and results are identical either
-	// way (the batch drain fixes the observable event order); it pays
-	// off when spare cores exist and the per-cycle channel work
-	// outweighs the barrier (see EXPERIMENTS.md).
-	Parallel bool
 }
 
 // Validate reports configuration errors.
@@ -104,25 +49,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Interleaved is the concrete MemorySystem: N identical channels with a
-// channel-interleaved address layout.
+// Interleaved is the cache hierarchy's view of main memory: N identical
+// channels with a channel-interleaved address layout. It is a request
+// sink (cache.Backend), a clocked component with skip-ahead support, and
+// an observation surface for mitigation and throttling mechanisms.
 type Interleaved struct {
 	cfg    Config
 	mapper memctrl.AddressMapper
 	ctrls  []*memctrl.Controller
 	devs   []*dram.Device
-
-	// Multi-channel systems attach one event buffer per channel and
-	// drain them in channel-index order after each cycle batch, so the
-	// LLC, latency sinks and cross-channel activate hooks observe one
-	// deterministic event stream regardless of how the batch executed.
-	bufs []*memctrl.EventBuffer
-
-	pool   *tickPool // lazily started when cfg.Parallel and Channels > 1
-	closed bool
 }
-
-var _ MemorySystem = (*Interleaved)(nil)
 
 // New builds the memory subsystem. threads is the hardware thread count
 // for per-thread accounting in every channel controller.
@@ -153,34 +89,37 @@ func New(cfg Config, threads int) (*Interleaved, error) {
 	}
 	if n > 1 {
 		// Single-channel systems keep inline callback delivery (there is
-		// nothing to order against); multi-channel systems always run the
-		// buffered batch so serial and parallel execution are identical.
-		m.bufs = make([]*memctrl.EventBuffer, n)
-		for i, c := range m.ctrls {
+		// nothing to order against). Multi-channel systems attach one
+		// event buffer per channel and drain them in channel-index order
+		// after each cycle batch (see Tick), so the LLC, latency sinks and
+		// cross-channel activate hooks observe one deterministic event
+		// stream.
+		for _, c := range m.ctrls {
 			// Pre-grown: a cycle batch emits at most a few events per
 			// channel (one command plus drained responses), so 256 keeps
 			// the batch loop allocation-free from the first tick.
-			m.bufs[i] = memctrl.NewEventBuffer(256)
-			c.SetEventBuffer(m.bufs[i])
+			c.SetEventBuffer(memctrl.NewEventBuffer(256))
 		}
 	}
 	return m, nil
 }
 
-// Channels implements MemorySystem.
+// Channels reports the channel count.
 func (m *Interleaved) Channels() int { return len(m.ctrls) }
 
-// Channel implements MemorySystem.
+// Channel returns one channel's controller (per-channel mechanism
+// wiring, tests, characterisation).
 func (m *Interleaved) Channel(i int) *memctrl.Controller { return m.ctrls[i] }
 
 // Device returns one channel's DRAM device.
 func (m *Interleaved) Device(i int) *dram.Device { return m.devs[i] }
 
-// Mapper implements MemorySystem.
+// Mapper returns the system-level channel-aware address mapper.
 func (m *Interleaved) Mapper() memctrl.AddressMapper { return m.mapper }
 
 // EnqueueRead implements cache.Backend: the line decodes to exactly one
-// channel, which accepts or rejects the request.
+// channel, which accepts the request or rejects it when its queue is
+// full.
 func (m *Interleaved) EnqueueRead(line uint64, thread int) bool {
 	addr := m.mapper.Map(line)
 	return m.ctrls[addr.Channel].EnqueueReadAddr(line, thread, addr)
@@ -192,26 +131,26 @@ func (m *Interleaved) EnqueueWrite(line uint64, thread int) bool {
 	return m.ctrls[addr.Channel].EnqueueWriteAddr(line, thread, addr)
 }
 
-// SetFillFunc implements MemorySystem: every channel delivers read data
-// into the same LLC fill path.
+// SetFillFunc makes every channel deliver read data into the same LLC
+// fill path.
 func (m *Interleaved) SetFillFunc(fill func(line uint64)) {
 	for _, c := range m.ctrls {
 		c.SetFillFunc(fill)
 	}
 }
 
-// SetLatencySink implements MemorySystem: read latencies from every
-// channel feed one per-thread recorder.
+// SetLatencySink makes read latencies from every channel feed one
+// per-thread recorder.
 func (m *Interleaved) SetLatencySink(sink memctrl.LatencySink) {
 	for _, c := range m.ctrls {
 		c.SetLatencySink(sink)
 	}
 }
 
-// AddActivateHook implements MemorySystem: the hook observes demand
-// activations on every channel, tagged with the channel index, so
-// cross-channel attribution (BreakHammer's per-thread scores) sees the
-// full activation stream.
+// AddActivateHook installs a hook that observes demand activations on
+// every channel, tagged with the channel index, so cross-channel
+// attribution (BreakHammer's per-thread scores) sees the full
+// activation stream.
 func (m *Interleaved) AddActivateHook(h ChannelActivateHook) {
 	for i, c := range m.ctrls {
 		ch := i
@@ -221,26 +160,21 @@ func (m *Interleaved) AddActivateHook(h ChannelActivateHook) {
 	}
 }
 
-// Tick implements MemorySystem. All channels tick every cycle; progress
-// on any channel counts. With more than one channel the cycle is a
-// batch: channels tick with cross-component side effects buffered
-// (serially, or concurrently on the worker pool when Config.Parallel is
-// set), a barrier ends the batch, and the buffers drain in channel-index
-// order — so every observer outside the channels sees the same event
-// stream either way, and a channel never reads another channel's
-// mid-cycle state.
+// Tick advances every channel one command-bus cycle and reports
+// whether any channel made progress. With more than one channel the
+// cycle is a batch: channels tick in index order with cross-component
+// side effects (LLC fills, latency reports, activate hooks) buffered,
+// then the buffers drain in channel-index order — so a channel never
+// reads another channel's mid-cycle state, and every observer outside
+// the channels sees one deterministic event stream.
 func (m *Interleaved) Tick(now int64) bool {
 	if len(m.ctrls) == 1 {
 		return m.ctrls[0].Tick(now)
 	}
 	var progress bool
-	if p := m.tickPool(); p != nil {
-		progress = p.tick(now)
-	} else {
-		for _, c := range m.ctrls {
-			if c.Tick(now) {
-				progress = true
-			}
+	for _, c := range m.ctrls {
+		if c.Tick(now) {
+			progress = true
 		}
 	}
 	for _, c := range m.ctrls {
@@ -249,13 +183,9 @@ func (m *Interleaved) Tick(now int64) bool {
 	return progress
 }
 
-// NextWake implements MemorySystem. Like Tick, the per-channel bounds of
-// a multi-channel system are gathered through the worker pool when one
-// is running; NextWake is read-only, so no drain follows.
+// NextWake returns a sound lower bound on the next cycle any channel
+// could make progress, assuming the preceding Tick made none.
 func (m *Interleaved) NextWake(now int64) int64 {
-	if p := m.tickPool(); p != nil {
-		return p.nextWake(now)
-	}
 	next := int64(1) << 62
 	for _, c := range m.ctrls {
 		if w := c.NextWake(now); w < next {
@@ -265,30 +195,7 @@ func (m *Interleaved) NextWake(now int64) int64 {
 	return next
 }
 
-// tickPool returns the worker pool, starting it on first use when the
-// configuration asks for parallel ticking and the system is still open.
-func (m *Interleaved) tickPool() *tickPool {
-	if !m.cfg.Parallel || m.closed || len(m.ctrls) < 2 {
-		return m.pool // nil unless started earlier
-	}
-	if m.pool == nil {
-		m.pool = newTickPool(m.ctrls)
-	}
-	return m.pool
-}
-
-// Close implements MemorySystem: it stops the channel-tick workers (if
-// parallel ticking ever started) and pins the system to the serial
-// batch. Close is idempotent; results are unaffected.
-func (m *Interleaved) Close() {
-	m.closed = true
-	if m.pool != nil {
-		m.pool.stop()
-		m.pool = nil
-	}
-}
-
-// Stats implements MemorySystem: per-channel counters summed into one
+// Stats returns every channel's controller counters summed into one
 // system-level view.
 func (m *Interleaved) Stats() memctrl.Stats {
 	var agg memctrl.Stats
@@ -298,10 +205,10 @@ func (m *Interleaved) Stats() memctrl.Stats {
 	return agg
 }
 
-// ChannelStats implements MemorySystem.
+// ChannelStats exposes one channel's own controller counters.
 func (m *Interleaved) ChannelStats(i int) *memctrl.Stats { return m.ctrls[i].Stats() }
 
-// EnergyNJ implements MemorySystem: DRAM energy summed over channels
+// EnergyNJ returns DRAM energy summed over channels
 // (each channel contributes its own background power).
 func (m *Interleaved) EnergyNJ(durationNs float64) float64 {
 	var total float64

@@ -11,6 +11,7 @@ import (
 
 	"breakhammer/internal/core"
 	"breakhammer/internal/memctrl"
+	"breakhammer/internal/sampling"
 	"breakhammer/internal/sim"
 	"breakhammer/internal/stats"
 	"breakhammer/internal/workload"
@@ -122,6 +123,39 @@ func TestKeyStability(t *testing.T) {
 	}
 	if mustKey(t, cfg, workload.BenignMixes(1)) == k1 {
 		t.Error("key ignores the mixes")
+	}
+}
+
+// TestKeyGolden pins concrete store keys, so an existing results
+// directory keeps serving after a refactor: a change to the canonical
+// fingerprint encoding — a Config field added, removed or renamed, a
+// normalisation dropped — re-keys every record and fails here. Change a
+// golden key only together with an intentional invalidation.
+func TestKeyGolden(t *testing.T) {
+	ha, err := workload.ParseMix("HA", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes := []workload.Mix{ha}
+	fourChannel := sim.FastConfig()
+	fourChannel.Channels = 4
+	fourChannel.Mechanism = "graphene"
+	fourChannel.NRH = 256
+	fourChannel.BreakHammer = true
+	sampled := sim.FastConfig()
+	sampled.Sampling = sampling.Params{Enabled: true}
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+		want string
+	}{
+		{"fast", sim.FastConfig(), "b307222a81400d670b058cfec75d493043b0f575e54ab4fb8aecd07704c87ec0"},
+		{"4ch-graphene-bh", fourChannel, "84fd29c8ced5e8b716040794d3acb40cb22656c223cd57d074d627c954b4b150"},
+		{"sampled", sampled, "8cda905b37655781559053add504d8f7f182a6e8e9924402e12a54632aa7839a"},
+	} {
+		if got := mustKey(t, tc.cfg, mixes); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

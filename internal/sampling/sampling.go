@@ -127,8 +127,8 @@ func (ph Phase) String() string {
 
 // PhaseAt maps a cycle to its phase and the first cycle of the next
 // phase. The schedule is a pure function of the cycle number — no
-// executor state — so serial and parallel-channel runs, and any replay,
-// see byte-identical window boundaries.
+// executor state — so every run of a point, and any replay, sees
+// byte-identical window boundaries.
 func (p Params) PhaseAt(cycle int64) (ph Phase, next int64) {
 	n := p.Normalized()
 	period := n.FFCycles + n.WarmupCycles + n.DetailCycles

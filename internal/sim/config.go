@@ -28,21 +28,6 @@ type Config struct {
 	// instance; lines interleave across channels per AddressMap.
 	Channels int
 
-	// ParallelChannels ticks the memory channels of each cycle batch on
-	// a pool of reused worker goroutines instead of a serial loop.
-	// Results are bit-identical either way (the memsys batch drain fixes
-	// the observable event order; sim.TestParallelChannelsDeterministic
-	// asserts it), so the knob is excluded from Fingerprint and never
-	// forks the results store. It pays off on multi-core hosts running
-	// one big multi-channel simulation at a time; see EXPERIMENTS.md.
-	ParallelChannels bool
-
-	// DisableSkipAhead forces the legacy every-cycle simulation loop
-	// instead of the event-batched skip-ahead scheduler. The two loops
-	// produce identical results; this exists for benchmarking the
-	// batching win and as a debugging escape hatch.
-	DisableSkipAhead bool
-
 	NRH         int    // RowHammer threshold
 	Mechanism   string // mitigation name ("none", "para", ..., "blockhammer")
 	BreakHammer bool   // pair the mechanism with BreakHammer

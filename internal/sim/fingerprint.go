@@ -31,10 +31,6 @@ func canonicalJSON(v any) ([]byte, error) {
 // therefore cache — identically.
 func (c Config) normalizedForFingerprint() Config {
 	c.Channels = c.channels()
-	// Parallel ticking is an execution strategy, not a simulated system:
-	// serial and parallel runs are bit-identical, so they must share one
-	// fingerprint (and therefore one results-store key).
-	c.ParallelChannels = false
 	c.BHWindow = c.bhWindow()
 	if c.BHThreat == 0 {
 		c.BHThreat = 32
@@ -60,6 +56,17 @@ func (c Config) normalizedForFingerprint() Config {
 	return c
 }
 
+// fingerprintConfig is the encoded form of a Config. The two bool
+// fields are retired Config fields: each was an execution strategy with
+// no effect on results, and each always encoded as false. Dropping them
+// from the encoding would re-key every results store, so the
+// fingerprint keeps emitting them at that constant value.
+type fingerprintConfig struct {
+	Config
+	ParallelChannels bool
+	DisableSkipAhead bool
+}
+
 // Fingerprint returns a canonical JSON encoding of one experiment point —
 // the full configuration plus the workload mixes it runs — suitable for
 // content-addressing simulation results. Two points fingerprint equally
@@ -81,9 +88,9 @@ func Fingerprint(cfg Config, mixes []workload.Mix) ([]byte, error) {
 		return nil, fmt.Errorf("sim: fingerprint: %w", err)
 	}
 	b, err := canonicalJSON(struct {
-		Config Config         `json:"config"`
-		Mixes  []workload.Mix `json:"mixes"`
-	}{cfg.normalizedForFingerprint(), mixes})
+		Config fingerprintConfig `json:"config"`
+		Mixes  []workload.Mix    `json:"mixes"`
+	}{fingerprintConfig{Config: cfg.normalizedForFingerprint()}, mixes})
 	if err != nil {
 		return nil, fmt.Errorf("sim: fingerprint: %w", err)
 	}

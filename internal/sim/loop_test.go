@@ -40,11 +40,11 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 			}
 			rs := skip.Run()
 
-			cfg.DisableSkipAhead = true
 			every, err := NewSystem(cfg, mix)
 			if err != nil {
 				t.Fatal(err)
 			}
+			every.everyCycle = true // the gated path, forced as the oracle
 			re := every.Run()
 
 			if rs.Cycles != re.Cycles {

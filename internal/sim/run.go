@@ -34,7 +34,6 @@ func aloneKey(cfg Config, spec workload.Spec) string {
 	c.ThrottleAt = ""
 	c.BHWindow, c.BHThreat, c.BHOutlier = 0, 0, 0
 	c.Seed = 0                     // the trace stream is seeded by spec.Seed, not cfg.Seed
-	c.ParallelChannels = false     // execution strategy; results are identical
 	c.Sampling = sampling.Params{} // alone baselines always run exact (see AloneIPC)
 	return fmt.Sprintf("%+v|%+v", c, spec)
 }

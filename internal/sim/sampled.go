@@ -339,20 +339,6 @@ func (s *System) coresDrained() bool {
 	return true
 }
 
-// runDetailedSpan ticks every cycle in [from, to) with the ordinary
-// detailed machinery, stopping early at a finish-check boundary once
-// every benign core is done.
-func (s *System) runDetailedSpan(from, to int64) int64 {
-	cycle := from
-	for ; cycle < to; cycle++ {
-		s.tickAll(cycle)
-		if cycle&finishCheckMask == 0 && s.benignFinished() {
-			return cycle
-		}
-	}
-	return cycle
-}
-
 // runFFSpan covers [from, to) functionally. Steps are bounded by every
 // cycle-stamped obligation — feedback deadlines, BreakHammer window
 // boundaries, functional refresh, the step quantum — so those all fire

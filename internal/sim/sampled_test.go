@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"breakhammer/internal/sampling"
@@ -15,7 +13,7 @@ import (
 // enough to span several periods yields multiple measured windows while
 // still fast-forwarding most of the run.
 func sampledTestConfig(channels int) Config {
-	cfg := parallelTestConfig(channels)
+	cfg := multiChannelTestConfig(channels)
 	cfg.TargetInsts = 400_000
 	cfg.Sampling = sampling.Params{
 		Enabled:      true,
@@ -82,27 +80,6 @@ func TestSampledRunSanity(t *testing.T) {
 	}
 }
 
-// TestSampledParallelChannelsDeterministic extends the serial-vs-
-// parallel byte-identity pin to the sampled loop: the mode switches,
-// functional replay and window aggregation must not depend on the
-// channel execution strategy.
-func TestSampledParallelChannelsDeterministic(t *testing.T) {
-	for _, channels := range []int{1, 2, 4} {
-		for _, mixName := range []string{"HLMA", "HML"} {
-			t.Run(fmt.Sprintf("channels=%d/mix=%s", channels, mixName), func(t *testing.T) {
-				serial := sampledTestConfig(channels)
-				parallel := serial
-				parallel.ParallelChannels = true
-				a := runOnce(t, serial, mixName)
-				b := runOnce(t, parallel, mixName)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("sampled serial and parallel results diverge:\nserial:   %s\nparallel: %s", a, b)
-				}
-			})
-		}
-	}
-}
-
 // TestSampledFingerprintSeparatesExact pins the store-isolation
 // contract: a sampled configuration never shares a fingerprint with the
 // exact one, window sizes are part of the key, and the default window
@@ -124,7 +101,7 @@ func TestSampledFingerprintSeparatesExact(t *testing.T) {
 		return string(raw)
 	}
 
-	exact := parallelTestConfig(2)
+	exact := multiChannelTestConfig(2)
 	sampled := sampledTestConfig(2)
 	if fp(exact) == fp(sampled) {
 		t.Fatal("sampled and exact configurations share a fingerprint")
@@ -230,7 +207,7 @@ func feedbackCycles(t *testing.T, cfg Config) []int64 {
 // point of sampling), so the sequences are compared on their common
 // prefix.
 func TestSampledFeedbackSeam(t *testing.T) {
-	exact := feedbackCycles(t, parallelTestConfig(2))
+	exact := feedbackCycles(t, multiChannelTestConfig(2))
 	sampled := feedbackCycles(t, sampledTestConfig(2))
 	if len(exact) < 3 || len(sampled) < 3 {
 		t.Fatalf("too few deliveries to compare: exact=%d sampled=%d", len(exact), len(sampled))

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"breakhammer/internal/scenario"
@@ -39,34 +38,6 @@ func runScenarioOnce(t *testing.T, cfg Config, strategy string) []byte {
 		t.Fatal(err)
 	}
 	return raw
-}
-
-// TestScenarioParallelChannelsDeterministic extends the serial-vs-
-// parallel determinism pin to the adaptive scenario engine: feedback
-// delivery and strategy adaptation must not fork the cycle-batch
-// contract. Two adaptive strategies run against two composed defenses
-// (one of them a genuine mechanism stack), each with multi-channel
-// parallel ticking compared byte-for-byte against the serial batch.
-func TestScenarioParallelChannelsDeterministic(t *testing.T) {
-	defenses := []scenario.Defense{
-		{Mechanism: "graphene", BH: true},
-		{Mechanism: "prac+rfm", BH: true},
-	}
-	for _, strategy := range []string{scenario.StrategyProbe, scenario.StrategyDecoy} {
-		for _, d := range defenses {
-			t.Run(fmt.Sprintf("%s/%s", strategy, d), func(t *testing.T) {
-				serial := scenarioTestConfig(d, 2)
-				parallel := serial
-				parallel.ParallelChannels = true
-				a := runScenarioOnce(t, serial, strategy)
-				b := runScenarioOnce(t, parallel, strategy)
-				if string(a) != string(b) {
-					t.Fatalf("parallel scenario result diverged from serial (%s vs %s):\nserial:   %.400s\nparallel: %.400s",
-						strategy, d, a, b)
-				}
-			})
-		}
-	}
 }
 
 // scenarioBehaviorConfig is the scale at which the strategies' adaptive

@@ -23,10 +23,10 @@ type System struct {
 	mechs []mitigation.Mechanism // one instance per channel; empty for "none"
 	bh    *core.BreakHammer
 
-	// everyCycle forces the legacy per-cycle loop: set by
-	// Config.DisableSkipAhead, or automatically when an ActGate
-	// (BlockHammer) is installed — the gate's verdict changes with time
-	// outside the wake-signal set, so skipping could delay activations.
+	// everyCycle forces the every-cycle path (runDetailedSpan over the
+	// whole run): set when an ActGate (BlockHammer) is installed — the
+	// gate's verdict changes with time outside the wake-signal set, so
+	// skipping could delay activations.
 	everyCycle bool
 
 	benign    []bool
@@ -115,7 +115,6 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 		Timing:     timing,
 		MC:         cfg.MC,
 		AddressMap: cfg.AddressMap,
-		Parallel:   cfg.ParallelChannels,
 	}, threads)
 	if err != nil {
 		return nil, err
@@ -123,7 +122,7 @@ func NewSystem(cfg Config, mix workload.Mix) (*System, error) {
 	llc := cache.New(cfg.Cache, threads, mem)
 	mem.SetFillFunc(llc.Fill)
 
-	s := &System{cfg: cfg, mem: mem, llc: llc, everyCycle: cfg.DisableSkipAhead}
+	s := &System{cfg: cfg, mem: mem, llc: llc}
 
 	s.latencies = make([]*stats.Histogram, threads)
 	for i := range s.latencies {
@@ -281,7 +280,7 @@ func (s *System) deliverFeedback(cycle int64) {
 }
 
 // Memory exposes the multi-channel memory subsystem.
-func (s *System) Memory() memsys.MemorySystem { return s.mem }
+func (s *System) Memory() *memsys.Interleaved { return s.mem }
 
 // Controller exposes channel 0's memory controller (tests,
 // characterisation; single-channel systems have only this one).
@@ -346,21 +345,19 @@ func (r Result) Sampled() bool { return r.Sampling != nil }
 
 // Run executes the simulation until every benign core retires the target
 // instruction count (attacker cores are not waited for, matching §7's
-// methodology) or MaxCycles elapses. The default loop is event-batched:
-// every component ticks on every cycle where anything can happen, and
-// globally idle spans (all cores stalled, every channel waiting out a
-// timing constraint) are skipped in one jump to the earliest wake-up
-// signal — the two loops produce identical simulations.
+// methodology) or MaxCycles elapses. Exact ungated runs use the
+// event-batched skip-ahead loop: every component ticks on every cycle
+// where anything can happen, and globally idle spans (all cores stalled,
+// every channel waiting out a timing constraint) are skipped in one jump
+// to the earliest wake-up signal. Gated runs tick every cycle through
+// runDetailedSpan, the same body the sampled driver uses for its
+// detailed windows; both paths produce identical simulations.
 func (s *System) Run() Result {
-	// Release the channel-tick workers (if ParallelChannels started any)
-	// once the simulation is over; rerunning a closed system falls back
-	// to the serial batch with identical results.
-	defer s.mem.Close()
 	if s.cfg.Sampling.Enabled {
 		return s.runSampled()
 	}
 	if s.everyCycle {
-		return s.runEveryCycle()
+		return s.collect(s.runDetailedSpan(0, s.cfg.MaxCycles))
 	}
 	return s.runSkipAhead()
 }
@@ -385,16 +382,20 @@ func (s *System) tickAll(cycle int64) bool {
 	return progress
 }
 
-// runEveryCycle is the legacy loop: one tick per simulated cycle.
-func (s *System) runEveryCycle() Result {
-	cycle := int64(0)
-	for ; cycle < s.cfg.MaxCycles; cycle++ {
+// runDetailedSpan ticks every cycle in [from, to), stopping early at a
+// finish-check boundary once every benign core is done, and returns the
+// cycle it stopped at. It is the every-cycle path: a gated run covers
+// [0, MaxCycles) with it, and the sampled driver covers each detailed
+// window with it.
+func (s *System) runDetailedSpan(from, to int64) int64 {
+	cycle := from
+	for ; cycle < to; cycle++ {
 		s.tickAll(cycle)
 		if cycle&finishCheckMask == 0 && s.benignFinished() {
-			break
+			return cycle
 		}
 	}
-	return s.collect(cycle)
+	return cycle
 }
 
 // runSkipAhead is the event-batched loop. Two batching levels, both
