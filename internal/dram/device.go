@@ -52,6 +52,11 @@ type Device struct {
 
 	energy EnergyCounter
 
+	// Release queue behind NextRelease; tracked turns on at the first
+	// NextRelease call, so a device that is never asked pays nothing.
+	rel     releaseQueue
+	tracked bool
+
 	// issueHook, when set, observes every issued command. It exists for
 	// auditing (independent re-verification of timing invariants over a
 	// whole simulation) and characterisation; it is nil in normal runs.
@@ -292,6 +297,15 @@ func (d *Device) Issue(cmd Command, addr Addr, now int64) IssueResult {
 	if d.issueHook != nil {
 		d.issueHook(cmd, addr, now)
 	}
+	res := d.apply(cmd, addr, now)
+	if d.tracked {
+		d.trackIssue(cmd, addr.Bank, now)
+	}
+	return res
+}
+
+// apply performs the state change of a validated command.
+func (d *Device) apply(cmd Command, addr Addr, now int64) IssueResult {
 	b := &d.banks[addr.Bank]
 	rank := d.rankOf[addr.Bank]
 	r := &d.ranks[rank]
@@ -407,58 +421,233 @@ func (d *Device) BankBlockedUntil(bank int) int64 {
 // frozen, legality can only change at one of these expiry moments. The
 // skip-ahead simulation loop jumps to this cycle when the whole system
 // stalls. Returns a very large value when no constraint is pending.
+//
+// The answer comes from the release queue (see slotAt), seeded from the
+// full device state on the first call. now must not decrease across one
+// device's Issue and NextRelease calls: a release at or before now is
+// dropped for good.
 func (d *Device) NextRelease(now int64) int64 {
-	const horizon = int64(1) << 62
-	next := horizon
-	take := func(ts int64) {
-		if ts > now && ts < next {
-			next = ts
-		}
+	if !d.tracked {
+		d.seed(now)
 	}
-	t := &d.timing
-	for i := range d.banks {
-		b := &d.banks[i]
-		take(b.preReady)
-		take(b.blocked)
-		if b.hasOpen {
-			take(b.actAt + t.RCD) // RD/WR become legal
-			take(b.actAt + t.RAS) // PRE becomes legal
-			if b.lastRD != neverIssued {
-				take(b.lastRD + t.RTP)
-			}
-			if b.lastWRend != neverIssued {
-				take(b.lastWRend + t.WR)
-			}
-		}
+	d.settle(now)
+	if len(d.rel) == 0 {
+		return horizon
 	}
-	for i := range d.ranks {
-		r := &d.ranks[i]
-		take(r.refUntil)
-		if r.lastACT != neverIssued {
-			take(r.lastACT + t.RRDS)
-			take(r.lastACT + t.RRDL)
-		}
-		for _, ts := range r.actWindow {
-			if ts != neverIssued {
-				take(ts + t.FAW)
-			}
-		}
-	}
-	// Channel-level column constraints: data-bus release and CCD/turnaround.
-	take(d.busFreeAt - t.CL)
-	take(d.busFreeAt - t.CWL)
-	if d.lastRD != neverIssued {
-		take(d.lastRD + t.CCDS)
-		take(d.lastRD + t.CCDL)
-		take(d.lastRD + t.RTW)
-	}
-	if d.lastWR != neverIssued {
-		take(d.lastWR + t.CCDS)
-		take(d.lastWR + t.CCDL)
-	}
-	if d.lastWRend != neverIssued {
-		take(d.lastWRend + t.WTRS)
-		take(d.lastWRend + t.WTRL)
-	}
-	return next
+	return d.rel[len(d.rel)-1].at
 }
+
+// horizon is NextRelease's answer when no constraint is pending.
+const horizon = int64(1) << 62
+
+// Release tracking. Every timestamp NextRelease reads lives in a slot:
+// a slot kind (a device field plus the timing constraint added to it) at
+// a bank or rank index. slotAt reads a slot's current value.
+//
+// The device keeps a priority queue of (value, slot) releases. Issue
+// pushes the slots its command moved. NextRelease pops releases at or
+// before now and releases whose slot has moved on since the push, so the
+// earliest remaining release is the earliest pending value of any slot:
+// every slot with a pending value has a release of that value queued.
+// Issue pops too, which keeps the queue to the releases of the last few
+// hundred cycles.
+
+// Slot kinds, grouped per bank, per rank and per channel. Each comment
+// names the slot's value; a bank slot guarded by an open row, or a gap
+// after a command that never issued, holds no pending release.
+const (
+	slotPreReady = iota // bank preReady
+	slotBlocked         // bank blocked
+	slotRCD             // bank actAt+tRCD
+	slotRAS             // bank actAt+tRAS
+	slotRTP             // bank lastRD+tRTP
+	slotWR              // bank lastWRend+tWR
+	slotRefUntil        // rank refUntil
+	slotRRDS            // rank lastACT+tRRD_S
+	slotRRDL            // rank lastACT+tRRD_L
+	slotFAW0            // rank actWindow[j]+tFAW at slotFAW0+j
+	slotFAW1
+	slotFAW2
+	slotFAW3
+	slotBusRD // channel busFreeAt-tCL
+	slotBusWR // channel busFreeAt-tCWL
+	slotRDRDS // channel lastRD+tCCD_S
+	slotRDRDL // channel lastRD+tCCD_L
+	slotRTW   // channel lastRD+tRTW
+	slotWRWRS // channel lastWR+tCCD_S
+	slotWRWRL // channel lastWR+tCCD_L
+	slotWTRS  // channel lastWRend+tWTR_S
+	slotWTRL  // channel lastWRend+tWTR_L
+	numSlotKinds
+
+	firstRankSlot    = slotRefUntil
+	firstChannelSlot = slotBusRD
+)
+
+// slotAt returns the current value of slot kind k at bank or rank idx
+// and whether that release is pending at all.
+func (d *Device) slotAt(k, idx int) (int64, bool) {
+	t := &d.timing
+	switch k {
+	case slotPreReady:
+		return d.banks[idx].preReady, true
+	case slotBlocked:
+		return d.banks[idx].blocked, true
+	case slotRCD:
+		b := &d.banks[idx]
+		return b.actAt + t.RCD, b.hasOpen
+	case slotRAS:
+		b := &d.banks[idx]
+		return b.actAt + t.RAS, b.hasOpen
+	case slotRTP:
+		b := &d.banks[idx]
+		return b.lastRD + t.RTP, b.hasOpen && b.lastRD != neverIssued
+	case slotWR:
+		b := &d.banks[idx]
+		return b.lastWRend + t.WR, b.hasOpen && b.lastWRend != neverIssued
+	case slotRefUntil:
+		return d.ranks[idx].refUntil, true
+	case slotRRDS:
+		r := &d.ranks[idx]
+		return r.lastACT + t.RRDS, r.lastACT != neverIssued
+	case slotRRDL:
+		r := &d.ranks[idx]
+		return r.lastACT + t.RRDL, r.lastACT != neverIssued
+	case slotFAW0, slotFAW1, slotFAW2, slotFAW3:
+		ts := d.ranks[idx].actWindow[k-slotFAW0]
+		return ts + t.FAW, ts != neverIssued
+	case slotBusRD:
+		return d.busFreeAt - t.CL, true
+	case slotBusWR:
+		return d.busFreeAt - t.CWL, true
+	case slotRDRDS:
+		return d.lastRD + t.CCDS, d.lastRD != neverIssued
+	case slotRDRDL:
+		return d.lastRD + t.CCDL, d.lastRD != neverIssued
+	case slotRTW:
+		return d.lastRD + t.RTW, d.lastRD != neverIssued
+	case slotWRWRS:
+		return d.lastWR + t.CCDS, d.lastWR != neverIssued
+	case slotWRWRL:
+		return d.lastWR + t.CCDL, d.lastWR != neverIssued
+	case slotWTRS:
+		return d.lastWRend + t.WTRS, d.lastWRend != neverIssued
+	case slotWTRL:
+		return d.lastWRend + t.WTRL, d.lastWRend != neverIssued
+	}
+	panic(fmt.Sprintf("dram: unknown release slot kind %d", k))
+}
+
+// track pushes slot kind k at idx if it holds a release after now.
+func (d *Device) track(k, idx int, now int64) {
+	if at, ok := d.slotAt(k, idx); ok && at > now {
+		d.rel.push(release{at: at, kind: int32(k), idx: int32(idx)})
+	}
+}
+
+// seed starts release tracking from the full device state.
+func (d *Device) seed(now int64) {
+	d.tracked = true
+	d.rel = d.rel[:0]
+	for b := range d.banks {
+		for k := 0; k < firstRankSlot; k++ {
+			d.track(k, b, now)
+		}
+	}
+	for r := range d.ranks {
+		for k := firstRankSlot; k < firstChannelSlot; k++ {
+			d.track(k, r, now)
+		}
+	}
+	for k := firstChannelSlot; k < numSlotKinds; k++ {
+		d.track(k, 0, now)
+	}
+}
+
+// trackIssue pushes the slots a just-applied command moved, latest
+// release first under DDR4 and DDR5 timing, so each push shifts fewer
+// queued releases; the order does not change the answer. A REF sets its
+// banks' preReady, and RFM/VRR/AUX/MIG set their bank's preReady, to the
+// same value as the refUntil or blocked slot pushed here. That one
+// release covers them: refUntil moves only on the rank's next REF and
+// blocked only on the bank's next RFM/VRR/AUX/MIG, and each of those
+// moves the preReady values with it.
+func (d *Device) trackIssue(cmd Command, bank int, now int64) {
+	d.settle(now)
+	rank := d.rankOf[bank]
+	switch cmd {
+	case CmdACT:
+		r := &d.ranks[rank]
+		last := (r.actWindowIdx + len(r.actWindow) - 1) % len(r.actWindow)
+		d.track(slotRAS, bank, now)
+		d.track(slotRCD, bank, now)
+		d.track(slotFAW0+last, rank, now)
+		d.track(slotRRDL, rank, now)
+		d.track(slotRRDS, rank, now)
+	case CmdPRE:
+		d.track(slotPreReady, bank, now)
+	case CmdRD:
+		d.track(slotRTP, bank, now)
+		d.track(slotRTW, 0, now)
+		d.track(slotRDRDL, 0, now)
+		d.track(slotBusWR, 0, now)
+		d.track(slotBusRD, 0, now)
+		d.track(slotRDRDS, 0, now)
+	case CmdWR:
+		d.track(slotWR, bank, now)
+		d.track(slotWTRL, 0, now)
+		d.track(slotWTRS, 0, now)
+		d.track(slotWRWRL, 0, now)
+		d.track(slotWRWRS, 0, now)
+		d.track(slotBusWR, 0, now)
+		d.track(slotBusRD, 0, now)
+	case CmdREF:
+		d.track(slotRefUntil, rank, now)
+	case CmdRFM, CmdVRR, CmdAUX, CmdMIG:
+		d.track(slotBlocked, bank, now)
+	}
+}
+
+// settle pops releases at or before now and releases whose slot has
+// moved since the push, leaving the earliest pending release last.
+func (d *Device) settle(now int64) {
+	for len(d.rel) > 0 {
+		top := d.rel[len(d.rel)-1]
+		if top.at > now {
+			at, ok := d.slotAt(int(top.kind), int(top.idx))
+			if ok && at == top.at {
+				return
+			}
+		}
+		d.rel.pop()
+	}
+}
+
+// release is one pending timestamp on the release queue: the value at of
+// slot kind at bank or rank idx when it was pushed.
+type release struct {
+	at        int64
+	kind, idx int32
+}
+
+// releaseQueue holds pending releases sorted by at in descending order,
+// so the earliest release is the last element and popping it is O(1).
+// It rarely holds more than a few dozen releases, and a new release
+// usually lands near the end, so the insertion shift is short; on the
+// recorded command stream of BenchmarkNextRelease this beat a binary
+// heap.
+type releaseQueue []release
+
+func (q *releaseQueue) push(e release) {
+	s := append(*q, e)
+	i := len(s) - 1
+	for i > 0 && s[i-1].at < e.at {
+		s[i] = s[i-1]
+		i--
+	}
+	s[i] = e
+	*q = s
+}
+
+// pop removes the earliest release.
+func (q *releaseQueue) pop() { *q = (*q)[:len(*q)-1] }

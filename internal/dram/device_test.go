@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -341,4 +342,192 @@ func TestEnergyReset(t *testing.T) {
 	if e.DynamicNJ() != 0 || e.Count(CmdACT) != 0 {
 		t.Error("Reset did not clear counters")
 	}
+}
+
+// nextReleaseScan is the rescan NextRelease replaced, kept as its oracle:
+// the earliest timestamp after now over every bank, rank and channel
+// constraint, read straight from the device state.
+func nextReleaseScan(d *Device, now int64) int64 {
+	next := horizon
+	take := func(ts int64) {
+		if ts > now && ts < next {
+			next = ts
+		}
+	}
+	t := &d.timing
+	for i := range d.banks {
+		b := &d.banks[i]
+		take(b.preReady)
+		take(b.blocked)
+		if b.hasOpen {
+			take(b.actAt + t.RCD) // RD/WR become legal
+			take(b.actAt + t.RAS) // PRE becomes legal
+			if b.lastRD != neverIssued {
+				take(b.lastRD + t.RTP)
+			}
+			if b.lastWRend != neverIssued {
+				take(b.lastWRend + t.WR)
+			}
+		}
+	}
+	for i := range d.ranks {
+		r := &d.ranks[i]
+		take(r.refUntil)
+		if r.lastACT != neverIssued {
+			take(r.lastACT + t.RRDS)
+			take(r.lastACT + t.RRDL)
+		}
+		for _, ts := range r.actWindow {
+			if ts != neverIssued {
+				take(ts + t.FAW)
+			}
+		}
+	}
+	// Channel-level column constraints: data-bus release and CCD/turnaround.
+	take(d.busFreeAt - t.CL)
+	take(d.busFreeAt - t.CWL)
+	if d.lastRD != neverIssued {
+		take(d.lastRD + t.CCDS)
+		take(d.lastRD + t.CCDL)
+		take(d.lastRD + t.RTW)
+	}
+	if d.lastWR != neverIssued {
+		take(d.lastWR + t.CCDS)
+		take(d.lastWR + t.CCDL)
+	}
+	if d.lastWRend != neverIssued {
+		take(d.lastWRend + t.WTRS)
+		take(d.lastWRend + t.WTRL)
+	}
+	return next
+}
+
+// streamCmds maps a pick to a command, weighted towards demand traffic.
+var streamCmds = [...]Command{
+	CmdACT, CmdACT, CmdACT, CmdACT, CmdPRE, CmdPRE, CmdRD, CmdRD, CmdRD,
+	CmdWR, CmdWR, CmdREF, CmdRFM, CmdVRR, CmdAUX, CmdMIG,
+}
+
+// driveStream issues steps random commands to d, each after a random
+// cycle gap and only when CanIssue allows it; pick(n) draws from [0, n).
+// A REF first precharges its rank's open banks where that is legal. From
+// step queryFrom on, it checks NextRelease against nextReleaseScan on
+// every cycle, before and after each issue. It returns the number of
+// commands issued per command.
+func driveStream(tb testing.TB, d *Device, steps, queryFrom int, pick func(n int) int) map[Command]int {
+	tb.Helper()
+	issued := map[Command]int{}
+	var now int64
+	query := func(step int) {
+		if step < queryFrom {
+			return
+		}
+		if got, want := d.NextRelease(now), nextReleaseScan(d, now); got != want {
+			tb.Fatalf("step %d, cycle %d: NextRelease = %d, scan = %d", step, now, got, want)
+		}
+	}
+	issue := func(cmd Command, addr Addr) {
+		if d.CanIssue(cmd, addr, now) {
+			d.Issue(cmd, addr, now)
+			issued[cmd]++
+		}
+	}
+	cfg := d.Config()
+	for step := 0; step < steps; step++ {
+		gap := pick(8)
+		if gap == 7 {
+			gap = pick(1024)
+		}
+		for end := now + int64(gap); now < end; {
+			now++
+			query(step)
+		}
+		cmd := streamCmds[pick(len(streamCmds))]
+		addr := Addr{Bank: pick(cfg.TotalBanks()), Row: pick(4), Col: pick(cfg.ColumnsPerRow)}
+		switch cmd {
+		case CmdRD, CmdWR:
+			if row, open := d.OpenRow(addr.Bank); open {
+				addr.Row = row
+			}
+		case CmdREF:
+			base := d.RankOf(addr.Bank) * cfg.BanksPerRank()
+			for b := base; b < base+cfg.BanksPerRank(); b++ {
+				if _, open := d.OpenRow(b); open {
+					issue(CmdPRE, Addr{Bank: b})
+				}
+			}
+		}
+		issue(cmd, addr)
+		query(step)
+	}
+	return issued
+}
+
+// skewedTiming is DDR5 with three gaps nudged so that no two releases one
+// command sets coincide, as RTW and tCCD_L do on DDR5: a slot Issue fails
+// to push cannot hide behind another slot's equal value.
+func skewedTiming() Timing {
+	t := DDR5()
+	t.CCDS = 7
+	t.RTW = 13
+	t.RTP = 19
+	return t
+}
+
+// TestNextReleaseMatchesScan drives seeded random command streams over
+// both ranks and every bank group and requires the release heap to give
+// the rescan's answer on every cycle. The mid-stream variant seeds the
+// heap lazily after thousands of untracked issues.
+func TestNextReleaseMatchesScan(t *testing.T) {
+	const steps = 4000
+	for _, timing := range []Timing{DDR5(), DDR4(), skewedTiming()} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, queryFrom := range []int{0, steps / 2} {
+				d, err := NewDevice(Default(), timing)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				issued := driveStream(t, d, steps, queryFrom, rng.Intn)
+				for _, cmd := range []Command{CmdACT, CmdPRE, CmdRD, CmdWR, CmdREF, CmdRFM, CmdVRR, CmdAUX, CmdMIG} {
+					if issued[cmd] == 0 {
+						t.Errorf("seed %d: the stream never issued %v", seed, cmd)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzNextRelease drives driveStream from the fuzzer's bytes: the first
+// byte picks the timing and the step at which queries (and the heap)
+// start, and each
+// later byte feeds one draw of a command, bank, row, column or gap.
+func FuzzNextRelease(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{3, 7, 200, 0, 5, 1, 6, 0, 0, 0, 9, 2, 11, 4})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 6, 6, 6, 6, 6, 6, 15, 15, 15, 7, 255, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		timing := []Timing{DDR5(), DDR4(), skewedTiming()}[data[0]%3]
+		queryFrom, data := int(data[0]/3%16), data[1:]
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0])
+			data = data[1:]
+			if n > 256 {
+				v = v * n / 256
+			}
+			return v % n
+		}
+		d, err := NewDevice(Default(), timing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveStream(t, d, len(data)/2+1, queryFrom, pick)
+	})
 }

@@ -5,23 +5,34 @@ import "testing"
 // TestSkipAheadMatchesEveryCycle verifies the central claim of the
 // event-batched loop: skipping provably idle cycles changes nothing. The
 // two loops must agree cycle-for-cycle on every architectural outcome.
+// Between them the cases issue every DRAM command — aqua migrates rows
+// (MIG), hydra reads its in-DRAM counters (AUX) — so every release the
+// device's wake bound tracks is checked end to end; the 4-channel case
+// queries every channel's bound on each skip.
 func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 	for _, tc := range []struct {
-		mech string
-		mix  string
-		bh   bool
-		lsu  bool
+		mech     string
+		mix      string
+		bh       bool
+		lsu      bool
+		channels int
 	}{
 		{mech: "none", mix: "HHMM"},
 		{mech: "graphene", mix: "MLLA", bh: true},
 		{mech: "rfm", mix: "LLLA", bh: true},
 		{mech: "prac", mix: "MLLA"},
 		{mech: "graphene", mix: "MLLA", bh: true, lsu: true},
+		{mech: "aqua", mix: "MLLA"},
+		{mech: "hydra", mix: "MLLA", bh: true},
+		{mech: "graphene", mix: "HHMA", bh: true, channels: 4},
 	} {
 		tc := tc
 		name := tc.mech + "/" + tc.mix
 		if tc.lsu {
 			name += "/lsu"
+		}
+		if tc.channels > 1 {
+			name += "/" + string(rune('0'+tc.channels)) + "ch"
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -29,6 +40,7 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 			cfg.Mechanism = tc.mech
 			cfg.NRH = 256
 			cfg.BreakHammer = tc.bh
+			cfg.Channels = tc.channels
 			if tc.lsu {
 				cfg.ThrottleAt = "lsu"
 			}
@@ -47,6 +59,12 @@ func TestSkipAheadMatchesEveryCycle(t *testing.T) {
 			every.everyCycle = true // the gated path, forced as the oracle
 			re := every.Run()
 
+			if tc.mech == "aqua" && rs.MC.Migrations == 0 {
+				t.Error("aqua issued no row migrations (MIG)")
+			}
+			if tc.mech == "hydra" && rs.MC.AuxAccesses == 0 {
+				t.Error("hydra issued no counter-table accesses (AUX)")
+			}
 			if rs.Cycles != re.Cycles {
 				t.Errorf("Cycles: skip %d != every-cycle %d", rs.Cycles, re.Cycles)
 			}
